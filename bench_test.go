@@ -420,10 +420,9 @@ const bitSimLanes = 64
 // of the mix as word-level AIG sweeps, including engine construction
 // (blasting the cycle circuit and compiling the op list) and the
 // per-cycle packing of row stimulus into bit-sliced form. Recording is
-// off — this is the configuration the throughput-critical consumers run
-// (the directed-stimulus candidate scorer and the bit-parallel fault
-// classifier screen lanes without waveforms; the differential oracle,
-// which does record, is correctness-gated rather than benchmark-gated).
+// off — this is the configuration the `experiments -bitlanes`
+// amortization study times (the differential oracle, which does record,
+// is correctness-gated rather than benchmark-gated).
 func BenchmarkBitSimLanes(b *testing.B) {
 	progs := benchBatchPrograms(b)
 	for _, pm := range progs {

@@ -43,9 +43,9 @@ func main() {
 		all      = flag.Bool("all", false, "print everything")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON of the study sections to this file (load at chrome://tracing)")
 	)
-	knobs := service.Bind(flag.CommandLine, service.FlagBackend|service.FlagWorkers|service.FlagLanes)
+	parseKnobs := bindKnobs(flag.CommandLine)
 	flag.Parse()
-	opts, err := knobs.Options()
+	opts, lanes, err := parseKnobs()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
@@ -53,7 +53,6 @@ func main() {
 	cfg := opts.Exp(exp.Config{})
 	sess := exp.SharedSession(cfg.Backend)
 	sess.Workers = cfg.Workers
-	lanes := opts.Lanes
 	if !*fig5 && !*fig6 && !*fig7 && !*table2 && !*table3 && !*ablation && !*passk && !*cov && !*form && !*batch && !*bitlanes {
 		*all = true
 	}
@@ -120,6 +119,25 @@ func main() {
 	}
 	printStats(sess, *verbose)
 	finishTrace(*traceOut, tracer, root)
+}
+
+// bindKnobs registers the command's simulation knobs on fs: the shared
+// -backend and -workers, plus -lanes for the batch amortization study.
+// The returned function validates the parsed values; call it after
+// fs.Parse.
+func bindKnobs(fs *flag.FlagSet) func() (service.Options, int, error) {
+	knobs := service.Bind(fs, service.FlagBackend|service.FlagWorkers)
+	lanes := fs.Int("lanes", 0, "batched simulation lanes where supported (0 or 1 = sequential)")
+	return func() (service.Options, int, error) {
+		opts, err := knobs.Options()
+		if err != nil {
+			return service.Options{}, 0, err
+		}
+		if *lanes < 0 {
+			return service.Options{}, 0, fmt.Errorf("lanes must be >= 0, got %d", *lanes)
+		}
+		return opts, *lanes, nil
+	}
 }
 
 // section runs f inside a child span of root; a nil root (tracing off)

@@ -4,14 +4,12 @@ import (
 	"flag"
 	"strings"
 	"testing"
-
-	"uvllm/internal/service"
 )
 
 // TestSharedFlagValidation is the table test for the experiments CLI's
-// up-front flag validation, which now lives in the shared service layer
-// (service.Bind + Options.Validate) used identically by cmd/uvllm and
-// cmd/uvllmd.
+// up-front flag validation: the shared knobs go through the service
+// layer (service.Bind + Options.Validate, used identically by cmd/uvllm
+// and cmd/uvllmd), -lanes through the command's own check.
 func TestSharedFlagValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -27,11 +25,11 @@ func TestSharedFlagValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
-			knobs := service.Bind(fs, service.FlagBackend|service.FlagWorkers|service.FlagLanes)
+			parseKnobs := bindKnobs(fs)
 			if err := fs.Parse(tc.args); err != nil {
 				t.Fatalf("parse flags: %v", err)
 			}
-			_, err := knobs.Options()
+			_, _, err := parseKnobs()
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("valid flags rejected: %v", err)

@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"uvllm/internal/rtlgen"
-	"uvllm/internal/service"
 )
 
 func main() {
@@ -30,14 +29,12 @@ func main() {
 		check  = flag.Bool("check", false, "run the differential oracles on each design")
 		cov    = flag.Bool("cover", false, "coverage-directed sweep: compare random vs directed stimulus, keep coverage-raising designs")
 		cycles = flag.Int("cycles", 60, "stimulus cycles per design in -check and -cover modes")
+		lanes  = flag.Int("lanes", 0, "batched simulation lanes where supported (0 or 1 = sequential)")
 	)
-	knobs := service.Bind(flag.CommandLine, service.FlagLanes)
 	flag.Parse()
-	opts, err := knobs.Options()
-	if err != nil {
-		fatal(err)
+	if *lanes < 0 {
+		fatal(fmt.Errorf("lanes must be >= 0, got %d", *lanes))
 	}
-	lanes := &opts.Lanes
 	if *n < 1 {
 		fatal(fmt.Errorf("-n must be >= 1, got %d", *n))
 	}

@@ -20,8 +20,7 @@ import (
 // harness cycle, exported as an AIG with named variable roots. All fields
 // are read-only after construction.
 type Circuit struct {
-	// G is the and-inverter graph the circuit's functions live in. With
-	// NewCircuitShared it may hold several circuits.
+	// G is the and-inverter graph the circuit's functions live in.
 	G *AIG
 	// Prog is the compiled program the circuit was blasted from.
 	Prog *sim.Program
@@ -34,7 +33,7 @@ type Circuit struct {
 	// FreeIdx holds each free input's arena signal index, aligned with Free.
 	FreeIdx []int
 	// In holds each free input's per-cycle variable vector, aligned with
-	// Free. With NewCircuitShared these may be shared across circuits.
+	// Free.
 	In []Vec
 	// Sigs is the design's full signal table in arena order.
 	Sigs []sim.SignalView
@@ -63,18 +62,10 @@ type Circuit struct {
 // Options.FreeReset, so designs that need the frozen-reset protocol
 // (async-reset edge triggers) return ErrUnsupported.
 func NewCircuit(prog *sim.Program, clock string, opts Options) (*Circuit, error) {
-	return NewCircuitShared(NewAIG(), nil, prog, clock, opts)
-}
-
-// NewCircuitShared blasts prog into an existing graph, taking input
-// variables from in by port name (missing entries get fresh variables).
-// Circuits sharing a graph and input variables strash-share their common
-// structure — the mechanism faultgen's bit-parallel classifier uses to
-// evaluate one golden and many mutants of it in a single sweep.
-func NewCircuitShared(g *AIG, in map[string]Vec, prog *sim.Program, clock string, opts Options) (*Circuit, error) {
 	opts.FreeReset = true
 	opts.LiteralClock = true
 	opts.Clock = clock
+	g := NewAIG()
 	m, err := newModelShared(g, prog, opts)
 	if err != nil {
 		return nil, err
@@ -106,16 +97,11 @@ func NewCircuitShared(g *AIG, in map[string]Vec, prog *sim.Program, clock string
 		}
 	}
 
-	// Input variables, shared by name when provided.
 	for _, p := range m.free {
 		idx, _ := d.SignalIndex(p.Name)
 		c.Free = append(c.Free, p)
 		c.FreeIdx = append(c.FreeIdx, idx)
-		v := in[p.Name]
-		if v == nil {
-			v = g.VarVec(vecW(p.Width))
-		}
-		c.In = append(c.In, v)
+		c.In = append(c.In, g.VarVec(vecW(p.Width)))
 	}
 
 	// Replay one harness cycle symbolically — the exact phase schedule of

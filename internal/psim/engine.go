@@ -37,9 +37,6 @@ type Engine struct {
 	waves  []*sim.Waveform
 	recIdx []int // arena index per recorded name, Waveform Names() order
 
-	act01 [][]uint64 // nil when activity tracking is off
-	act10 [][]uint64
-
 	cycle int
 
 	stim     [][]uint64 // scratch: per free input, width stimulus words
@@ -134,8 +131,8 @@ func (e *Engine) Ports() []sim.PortInfo { return append([]sim.PortInfo(nil), e.c
 func (e *Engine) Wave(k int) *sim.Waveform { return e.waves[k] }
 
 // SetRecord switches waveform recording on or off (on by default).
-// Scoring-only consumers (the directed-stimulus BitLanes rounds) switch
-// it off so speculative cycles do not grow 64 waveforms.
+// Throughput-only consumers (the experiments -bitlanes amortization
+// study) switch it off so timed cycles do not grow 64 waveforms.
 func (e *Engine) SetRecord(on bool) { e.record = on }
 
 // Broadcast re-initializes every lane's state from one concrete instance
@@ -350,19 +347,8 @@ func (e *Engine) cycleWords(active uint64, settleOnly bool) {
 	for i := range c.Sigs {
 		rv := roots[i]
 		st := e.state[i]
-		if e.act01 != nil && !settleOnly {
-			a01, a10 := e.act01[i], e.act10[i]
-			for b := range rv {
-				old := st[b]
-				nw := m.Word(rv[b])&active | old&^active
-				a01[b] |= ^old & nw & active
-				a10[b] |= old & ^nw & active
-				st[b] = nw
-			}
-		} else {
-			for b := range rv {
-				st[b] = m.Word(rv[b])&active | st[b]&^active
-			}
+		for b := range rv {
+			st[b] = m.Word(rv[b])&active | st[b]&^active
 		}
 		if mem := memRoots[i]; mem != nil {
 			for dw := range mem {
@@ -444,27 +430,4 @@ func (e *Engine) GetMem(k int, name string, word int) uint64 {
 		return 0
 	}
 	return lane(e.mems[idx][word], k)
-}
-
-// StartActivity clears and enables the per-signal toggle accumulators:
-// from now on every committed cycle ORs each lane's 0->1 and 1->0 bit
-// transitions into the activity words. The directed-stimulus scorer uses
-// these as a cheap novelty proxy for speculative candidate lanes.
-func (e *Engine) StartActivity() {
-	e.act01 = make([][]uint64, len(e.state))
-	e.act10 = make([][]uint64, len(e.state))
-	for i := range e.state {
-		e.act01[i] = make([]uint64, len(e.state[i]))
-		e.act10[i] = make([]uint64, len(e.state[i]))
-	}
-}
-
-// Activity returns the accumulated toggle words of one signal (arena
-// index): t01[b] bit k set means lane k saw bit b rise since
-// StartActivity, t10 likewise for falls. Nil before StartActivity.
-func (e *Engine) Activity(sig int) (t01, t10 []uint64) {
-	if e.act01 == nil {
-		return nil, nil
-	}
-	return e.act01[sig], e.act10[sig]
 }

@@ -13,9 +13,7 @@ type op struct {
 
 // Machine is a word-level evaluator for a formal.AIG: each node holds one
 // uint64, one bit per lane, so a single sweep evaluates the graph for 64
-// independent assignments at once. A machine built over a graph holding
-// several circuits (NewCircuitShared) evaluates all of them in the one
-// sweep — shared structure is computed once.
+// independent assignments at once.
 type Machine struct {
 	vals []uint64
 	ops  []op

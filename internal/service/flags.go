@@ -16,12 +16,10 @@ const (
 	FlagCover
 	// FlagFormal binds -formal, -induction and -formal-depth.
 	FlagFormal
-	// FlagLanes binds -lanes.
-	FlagLanes
 	// FlagWorkers binds -workers.
 	FlagWorkers
 	// FlagAll binds every shared knob.
-	FlagAll = FlagBackend | FlagCover | FlagFormal | FlagLanes | FlagWorkers
+	FlagAll = FlagBackend | FlagCover | FlagFormal | FlagWorkers
 )
 
 // Flags holds the bound flag targets between Bind (at init) and Options
@@ -33,7 +31,6 @@ type Flags struct {
 	formalOn    bool
 	induction   bool
 	formalDepth int
-	lanes       int
 	workers     int
 }
 
@@ -53,9 +50,6 @@ func Bind(fs *flag.FlagSet, mask FlagMask) *Flags {
 		fs.BoolVar(&f.induction, "induction", false, "prove by k-induction instead of plain BMC, upgrading closed proofs to unbounded (implies -formal)")
 		fs.IntVar(&f.formalDepth, "formal-depth", 0, "formal unrolling depth in cycles (0 = default)")
 	}
-	if mask&FlagLanes != 0 {
-		fs.IntVar(&f.lanes, "lanes", 0, "batched simulation lanes where supported (0 or 1 = sequential)")
-	}
 	if mask&FlagWorkers != 0 {
 		fs.IntVar(&f.workers, "workers", 0, "worker pool size (0 = NumCPU; results are identical for any value)")
 	}
@@ -71,7 +65,6 @@ func (f *Flags) Options() (Options, error) {
 		Formal:      f.formalOn,
 		Induction:   f.induction,
 		FormalDepth: f.formalDepth,
-		Lanes:       f.lanes,
 		Workers:     f.workers,
 	}
 	if err := o.Validate(); err != nil {

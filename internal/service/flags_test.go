@@ -17,9 +17,8 @@ func TestBindMask(t *testing.T) {
 	}{
 		{"backend only", FlagBackend, []string{"backend"}},
 		{"formal set", FlagFormal, []string{"formal", "formal-depth", "induction"}},
-		{"lanes only", FlagLanes, []string{"lanes"}},
 		{"cli set", FlagBackend | FlagCover | FlagFormal, []string{"backend", "cover", "formal", "formal-depth", "induction"}},
-		{"all", FlagAll, []string{"backend", "cover", "formal", "formal-depth", "induction", "lanes", "workers"}},
+		{"all", FlagAll, []string{"backend", "cover", "formal", "formal-depth", "induction", "workers"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,8 +48,8 @@ func TestFlagsOptions(t *testing.T) {
 		wantErr string
 	}{
 		{"defaults", nil, Options{Backend: "compiled"}, ""},
-		{"full set", []string{"-backend=event", "-cover", "-formal", "-induction", "-formal-depth=32", "-lanes=8", "-workers=4"},
-			Options{Backend: "event", Cover: true, Formal: true, Induction: true, FormalDepth: 32, Lanes: 8, Workers: 4}, ""},
+		{"full set", []string{"-backend=event", "-cover", "-formal", "-induction", "-formal-depth=32", "-workers=4"},
+			Options{Backend: "event", Cover: true, Formal: true, Induction: true, FormalDepth: 32, Workers: 4}, ""},
 		{"bad backend", []string{"-backend=ncsim"}, Options{}, "backend"},
 		{"bad depth", []string{"-formal-depth=-2"}, Options{}, "formal-depth"},
 	}
@@ -82,15 +81,15 @@ func TestFlagsOptions(t *testing.T) {
 // usable zero value (compiled backend via the unparsed default).
 func TestUnboundKnobsZero(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := Bind(fs, FlagLanes)
-	if err := fs.Parse([]string{"-lanes=2"}); err != nil {
+	f := Bind(fs, FlagWorkers)
+	if err := fs.Parse([]string{"-workers=2"}); err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	o, err := f.Options()
 	if err != nil {
 		t.Fatalf("Options: %v", err)
 	}
-	if o.Lanes != 2 || o.Cover || o.Formal || o.Workers != 0 {
+	if o.Workers != 2 || o.Cover || o.Formal || o.FormalDepth != 0 {
 		t.Fatalf("unbound knobs leaked values: %+v", o)
 	}
 	if o.SimBackend().String() != "compiled" {

@@ -2,7 +2,7 @@
 // job/options surface shared by the HTTP server (cmd/uvllmd) and the
 // batch CLIs (cmd/uvllm, cmd/experiments), a bounded fair-scheduled job
 // runner over core.Verify, and the server front-end itself. Before this
-// layer, the backend/coverage/formal/lanes/workers knobs were triplicated
+// layer, the backend/coverage/formal/workers knobs were triplicated
 // across uvm.Config, core.Options and exp.Config with per-command flag
 // parsing; Options is now the single definition and Validate the single
 // validation path, so a job means the same thing everywhere it is
@@ -16,21 +16,20 @@ import (
 	"uvllm/internal/exp"
 	"uvllm/internal/formal"
 	"uvllm/internal/sim"
-	"uvllm/internal/uvm"
 )
 
 // Options is the one composable knob set of the verification stack: the
-// five settings that used to be re-declared (and re-validated, and
-// allowed to drift) across uvm.Config, core.Options, exp.Config and
-// every command's flag block. The old structs keep their fields — they
-// are the thin adapter surface the Core/Exp/UVM/Stim methods fill in —
-// so existing call sites and the differential gates are byte-identical.
+// settings that used to be re-declared (and re-validated, and allowed to
+// drift) across core.Options, exp.Config and every command's flag block.
+// The old structs keep their fields — they are the thin adapter surface
+// the Core/Exp methods fill in — so existing call sites and the
+// differential gates are byte-identical.
 //
 // The zero value is valid and means: compiled backend, coverage off,
-// formal off, sequential (no batch lanes), default worker count. Backend
-// is a string rather than a sim.Backend so the same struct is the wire
-// format of the server's JSON API and the target of CLI flag parsing;
-// Validate is the one place it is checked.
+// formal off, default worker count. Backend is a string rather than a
+// sim.Backend so the same struct is the wire format of the server's JSON
+// API and the target of CLI flag parsing; Validate is the one place it
+// is checked.
 type Options struct {
 	// Backend selects the simulation engine: "compiled" (default, also
 	// "") or "event".
@@ -49,10 +48,6 @@ type Options struct {
 	// FormalDepth is the proof unrolling depth in cycles (0 = the formal
 	// engine's default).
 	FormalDepth int `json:"formal_depth,omitempty"`
-	// Lanes selects batched lane simulation where a consumer supports it
-	// (coverage-directed candidate scoring, sweep oracles); 0 or 1 keeps
-	// the sequential path.
-	Lanes int `json:"lanes,omitempty"`
 	// Workers sizes the worker pool of whatever runs the job set — the
 	// evaluation harness or the server's runner (0 = NumCPU).
 	Workers int `json:"workers,omitempty"`
@@ -73,9 +68,6 @@ func (o Options) Validate() error {
 	}
 	if o.FormalDepth < 0 {
 		return fmt.Errorf("formal-depth must be >= 0, got %d", o.FormalDepth)
-	}
-	if o.Lanes < 0 {
-		return fmt.Errorf("lanes must be >= 0, got %d", o.Lanes)
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("workers must be >= 0, got %d", o.Workers)
@@ -126,22 +118,6 @@ func (o Options) Exp(base exp.Config) exp.Config {
 	return base
 }
 
-// UVM fills the shared knobs into a uvm.Config, leaving every
-// testbench-specific field of base untouched.
-func (o Options) UVM(base uvm.Config) uvm.Config {
-	base.Backend = o.SimBackend()
-	base.Cover = o.CoverOptions()
-	return base
-}
-
-// Stim fills the shared knobs into a uvm.StimConfig, leaving every
-// stimulus-specific field of base untouched.
-func (o Options) Stim(base uvm.StimConfig) uvm.StimConfig {
-	base.Lanes = o.Lanes
-	base.Cover = o.CoverOptions()
-	return base
-}
-
 // merge fills zero-valued knobs from the server-level defaults; booleans
 // combine with or-semantics (a server started with -cover collects
 // coverage for every job, and a job can still opt in on its own).
@@ -155,9 +131,6 @@ func (o Options) merge(def Options) Options {
 	o.Trace = o.Trace || def.Trace
 	if o.FormalDepth == 0 {
 		o.FormalDepth = def.FormalDepth
-	}
-	if o.Lanes == 0 {
-		o.Lanes = def.Lanes
 	}
 	if o.Workers == 0 {
 		o.Workers = def.Workers

@@ -8,7 +8,6 @@ import (
 	"uvllm/internal/exp"
 	"uvllm/internal/formal"
 	"uvllm/internal/sim"
-	"uvllm/internal/uvm"
 )
 
 // TestOptionsValidate is the table test for the single shared validation
@@ -24,10 +23,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"explicit compiled", Options{Backend: "compiled"}, ""},
 		{"event backend", Options{Backend: "event"}, ""},
 		{"event-driven alias", Options{Backend: "event-driven"}, ""},
-		{"everything on", Options{Backend: "event", Cover: true, Formal: true, FormalDepth: 40, Lanes: 8, Workers: 4}, ""},
+		{"everything on", Options{Backend: "event", Cover: true, Formal: true, FormalDepth: 40, Workers: 4}, ""},
 		{"unknown backend", Options{Backend: "verilator"}, "backend"},
 		{"negative formal depth", Options{FormalDepth: -1}, "formal-depth"},
-		{"negative lanes", Options{Lanes: -3}, "lanes"},
 		{"negative workers", Options{Workers: -1}, "workers"},
 	}
 	for _, tc := range cases {
@@ -53,7 +51,7 @@ func TestOptionsValidate(t *testing.T) {
 // shared knobs into the legacy config structs and leave every
 // job-specific field of the base untouched.
 func TestOptionsAdapters(t *testing.T) {
-	o := Options{Backend: "event", Cover: true, Lanes: 8, Workers: 3}
+	o := Options{Backend: "event", Cover: true, Workers: 3}
 
 	co := o.Core(core.Options{Seed: 7, MaxIterations: 5})
 	if co.Backend != sim.BackendEventDriven || !co.Cover.Any() {
@@ -66,16 +64,6 @@ func TestOptionsAdapters(t *testing.T) {
 	ec := o.Exp(exp.Config{Seed: 9})
 	if ec.Backend != sim.BackendEventDriven || ec.Workers != 3 || ec.Seed != 9 {
 		t.Fatalf("Exp adapter wrong: %+v", ec)
-	}
-
-	uc := o.UVM(uvm.Config{Seed: 11})
-	if uc.Backend != sim.BackendEventDriven || !uc.Cover.Any() || uc.Seed != 11 {
-		t.Fatalf("UVM adapter wrong: %+v", uc)
-	}
-
-	sc := o.Stim(uvm.StimConfig{Cycles: 13})
-	if sc.Lanes != 8 || !sc.Cover.Any() || sc.Cycles != 13 {
-		t.Fatalf("Stim adapter wrong: %+v", sc)
 	}
 }
 
@@ -92,7 +80,7 @@ func TestOptionsBMCDepth(t *testing.T) {
 // TestOptionsMerge checks the server-default merging semantics: zero
 // knobs inherit, booleans or-combine, explicit values win.
 func TestOptionsMerge(t *testing.T) {
-	def := Options{Backend: "event", Cover: true, FormalDepth: 16, Lanes: 4, Workers: 2}
+	def := Options{Backend: "event", Cover: true, FormalDepth: 16, Workers: 2}
 
 	got := Options{}.merge(def)
 	if got != def {
@@ -106,7 +94,7 @@ func TestOptionsMerge(t *testing.T) {
 	if !got.Cover || !got.Formal {
 		t.Fatalf("boolean knobs must or-combine: %+v", got)
 	}
-	if got.Lanes != 4 || got.Workers != 2 {
+	if got.Workers != 2 {
 		t.Fatalf("zero knobs must inherit: %+v", got)
 	}
 }

@@ -111,6 +111,26 @@ func TestServerSubmitStatusResult(t *testing.T) {
 	if !bytes.Equal(gotJSON, wantJSON) {
 		t.Fatalf("server result diverges from direct Execute:\n got %s\nwant %s", gotJSON, wantJSON)
 	}
+
+	// Unknown option keys are ignored, not rejected: a client still sending
+	// the retired "lanes" knob gets the same job and the same verdict.
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"module":"adder_8bit","inject":"FuncLogic","options":{"lanes":8}}`))
+	if err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
+	}
+	var legacy submitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&legacy); err != nil {
+		t.Fatalf("decode submit response: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit with options.lanes: HTTP %d, want 202", resp.StatusCode)
+	}
+	lv := pollTerminal(t, ts, legacy.ID)
+	if gotJSON, _ = json.Marshal(lv.Result); !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("options.lanes changed the verdict:\n got %s\nwant %s", gotJSON, wantJSON)
+	}
 }
 
 // TestServerRejections covers the 4xx surface: bad JSON, a spec the

@@ -23,7 +23,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"uvllm/internal/cover"
 )
@@ -36,8 +35,8 @@ import (
 // standalone harness run would have stopped — and the remaining lanes
 // continue; Err reports per-lane outcomes.
 //
-// A Batch is not safe for concurrent use by multiple goroutines; lane
-// parallelism inside one Batch is opted into with Workers.
+// A Batch is not safe for concurrent use by multiple goroutines; several
+// Batches over one shared Program may run concurrently.
 type Batch struct {
 	prog  *Program
 	d     *Design
@@ -47,20 +46,13 @@ type Batch struct {
 	waves []*Waveform
 	errs  []error
 
-	// Workers, when >= 2, distributes per-lane cycle work across that many
-	// goroutines instead of running the single-threaded fused sweep. The
-	// results are byte-identical (lanes are independent); the fused path is
-	// usually faster for small designs, the parallel path for large K on
-	// expensive designs. Mutate only between Cycle calls.
-	Workers int
-
 	inPorts  []portRef // non-clock inputs, declaration order — the row layout
 	outPorts []portRef
 	recIdx   []int // arena index per recorded name, in Waveform Names() order
 	inputSet map[string]bool
 	cycle    int
 
-	recRow     []uint64 // scratch row shared by all lanes (single-threaded path)
+	recRow     []uint64 // scratch row shared by all lanes
 	sweepLanes []int    // scratch: lanes participating in the current fused sweep
 	steps      []int    // scratch: per-lane delta counter of the current settle
 	skip       []bool   // scratch: lanes masked out of the current cycle
@@ -210,9 +202,6 @@ func (b *Batch) Cycle(rows [][]uint64) error {
 			return fmt.Errorf("sim: batch cycle: lane %d row has %d values, want %d", k, len(row), len(b.inPorts))
 		}
 	}
-	if b.Workers >= 2 {
-		return b.cycleParallel(rows, nil)
-	}
 	for k, s := range b.lanes {
 		if b.errs[k] != nil || b.skip[k] {
 			continue
@@ -236,9 +225,6 @@ func (b *Batch) CycleMaps(ins []map[string]uint64) error {
 	}
 	for k, in := range ins {
 		b.skip[k] = in == nil
-	}
-	if b.Workers >= 2 {
-		return b.cycleParallel(nil, ins)
 	}
 	for k := range b.lanes {
 		if b.errs[k] != nil || b.skip[k] {
@@ -281,8 +267,8 @@ func (b *Batch) applyMap(k int, in map[string]uint64) error {
 	return nil
 }
 
-// finishCycle runs the shared post-apply protocol on the single-threaded
-// fused path: settle, exec-coverage sample, clock pulse, state-coverage
+// finishCycle runs the shared post-apply protocol on the fused path:
+// settle, exec-coverage sample, clock pulse, state-coverage
 // sample, waveform row.
 func (b *Batch) finishCycle() error {
 	b.settleAll()
@@ -449,91 +435,6 @@ func (b *Batch) settleAll() {
 			return
 		}
 	}
-}
-
-// cycleParallel is the Workers>=2 path: each goroutine runs complete,
-// independent lanes through the standalone per-lane protocol (apply,
-// Settle, coverage samples, clock pulse, record). Lanes never share
-// mutable state, so the only coordination is the WaitGroup; results are
-// byte-identical to the fused path.
-func (b *Batch) cycleParallel(rows [][]uint64, ins []map[string]uint64) error {
-	workers := b.Workers
-	if workers > len(b.lanes) {
-		workers = len(b.lanes)
-	}
-	clockIdx, haveClock := -1, false
-	if b.clock != "" {
-		clockIdx, haveClock = b.d.byName[b.clock]
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			row := make([]uint64, len(b.recIdx))
-			for k := range next {
-				b.laneCycle(k, rows, ins, clockIdx, haveClock, row)
-			}
-		}()
-	}
-	for k := range b.lanes {
-		if b.errs[k] == nil && !b.skip[k] {
-			next <- k
-		}
-	}
-	close(next)
-	wg.Wait()
-	b.cycle++
-	return nil
-}
-
-// laneCycle runs one lane's full cycle (parallel path). recRow is the
-// calling worker's private scratch.
-func (b *Batch) laneCycle(k int, rows [][]uint64, ins []map[string]uint64, clockIdx int, haveClock bool, recRow []uint64) {
-	s := b.lanes[k]
-	if rows != nil {
-		for i, pr := range b.inPorts {
-			s.set(pr.idx, rows[k][i])
-		}
-	} else if err := b.applyMap(k, ins[k]); err != nil {
-		b.errs[k] = err
-		return
-	}
-	if err := s.Settle(); err != nil {
-		b.errs[k] = err
-		return
-	}
-	if s.cov != nil {
-		s.coverSampleExec()
-	}
-	if b.clock != "" {
-		if !haveClock {
-			b.errs[k] = fmt.Errorf("sim: unknown signal %q", b.clock)
-			return
-		}
-		s.set(clockIdx, 1)
-		if err := s.Settle(); err != nil {
-			b.errs[k] = err
-			return
-		}
-		s.set(clockIdx, 0)
-		if err := s.Settle(); err != nil {
-			b.errs[k] = err
-			return
-		}
-	}
-	if s.cov != nil {
-		s.coverSampleState()
-	}
-	for i, idx := range b.recIdx {
-		if idx >= 0 {
-			recRow[i] = s.vals[idx]
-		} else {
-			recRow[i] = 0
-		}
-	}
-	b.waves[k].recordRow(recRow)
 }
 
 // ApplyReset drives the conventional reset sequence on every lane —

@@ -3,7 +3,7 @@ package sim
 // Batch tests: per-lane byte-identity against the standalone Harness
 // (traces, VCD bytes, encoded coverage, final state, errors), per-lane
 // snapshot/restore, lane masking, error isolation, and — under -race —
-// the Workers path plus concurrent Batches of one shared Program.
+// concurrent Batches of one shared Program.
 
 import (
 	"bytes"
@@ -389,48 +389,86 @@ func TestBatchPerLaneSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestBatchWorkersByteIdentical is the -race gate for in-batch lane
-// parallelism: the Workers path must reproduce the fused single-threaded
-// result bit for bit (waveforms and coverage), and concurrent Batches of
-// one shared Program must not interfere.
-func TestBatchWorkersByteIdentical(t *testing.T) {
-	const lanes, cycles = 8, 30
-	p, err := CompileSource(memDUT, "memdut", BackendCompiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(workers int) *Batch {
-		b, err := NewBatch(p, lanes, "clk")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Workers = workers
-		if err := b.EnableCover(CoverAll()); err != nil {
-			t.Fatal(err)
-		}
-		runBatch(t, b, cycles)
-		return b
-	}
-	ref := run(0)
-	var wg sync.WaitGroup
-	got := make([]*Batch, 3)
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = run(2 + i) // 2, 3, 4 workers, concurrently
-		}(i)
-	}
-	wg.Wait()
-	for i, b := range got {
-		for k := 0; k < lanes; k++ {
-			if err := wavesEqual(ref.Wave(k), b.Wave(k)); err != nil {
-				t.Fatalf("workers batch %d lane %d waveform: %v", i, k, err)
+// TestBatchSharedProgramConcurrent is the -race gate for Program
+// sharing: jobs and the fuzzer run Batches of one compiled Program on
+// several goroutines at once, so concurrent Batches (row and map
+// stimulus alike) must reproduce a single-goroutine reference bit for bit
+// (waveforms and coverage encodings) without a data race.
+func TestBatchSharedProgramConcurrent(t *testing.T) {
+	const lanes, cycles, batches = 8, 30, 4
+	for _, be := range backends() {
+		t.Run(be.String(), func(t *testing.T) {
+			p, err := CompileSource(memDUT, "memdut", be)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !bytes.Equal(ref.Coverage(k).Encode(), b.Coverage(k).Encode()) {
-				t.Fatalf("workers batch %d lane %d coverage differs", i, k)
+			run := func(maps bool) (*Batch, error) {
+				b, err := NewBatch(p, lanes, "clk")
+				if err != nil {
+					return nil, err
+				}
+				if err := b.EnableCover(CoverAll()); err != nil {
+					return nil, err
+				}
+				if err := b.ApplyReset(2); err != nil {
+					return nil, err
+				}
+				ports := b.Ports()
+				rows := make([][]uint64, lanes)
+				ins := make([]map[string]uint64, lanes)
+				for c := 0; c < cycles; c++ {
+					for k := range ins {
+						ins[k] = batchStim(k, c)
+						rows[k] = rows[k][:0]
+						for _, pt := range ports {
+							rows[k] = append(rows[k], ins[k][pt.Name])
+						}
+					}
+					if maps {
+						err = b.CycleMaps(ins)
+					} else {
+						err = b.Cycle(rows)
+					}
+					if err != nil {
+						return nil, err
+					}
+				}
+				for k := 0; k < lanes; k++ {
+					if err := b.Err(k); err != nil {
+						return nil, fmt.Errorf("lane %d: %v", k, err)
+					}
+				}
+				return b, nil
 			}
-		}
+			ref, err := run(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			got := make([]*Batch, batches)
+			errs := make([]error, batches)
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got[i], errs[i] = run(i%2 == 1)
+				}(i)
+			}
+			wg.Wait()
+			for i, b := range got {
+				if errs[i] != nil {
+					t.Fatalf("concurrent batch %d: %v", i, errs[i])
+				}
+				for k := 0; k < lanes; k++ {
+					if err := wavesEqual(ref.Wave(k), b.Wave(k)); err != nil {
+						t.Fatalf("concurrent batch %d lane %d waveform: %v", i, k, err)
+					}
+					if !bytes.Equal(ref.Coverage(k).Encode(), b.Coverage(k).Encode()) {
+						t.Fatalf("concurrent batch %d lane %d coverage differs", i, k)
+					}
+				}
+			}
+		})
 	}
 }
 

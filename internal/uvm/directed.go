@@ -41,15 +41,6 @@ type StimConfig struct {
 	// from the best, under the same total cycle budget. 0 or 1 keeps the
 	// sequential loop.
 	Lanes int
-	// BitLanes selects the bit-parallel candidate scorer instead: each
-	// round screens up to 64 candidate snippets one-bit-per-word on the
-	// blasted cycle AIG (internal/psim), ranked by toggle-activity
-	// novelty, and replays only the winner on the scalar coverage
-	// harness. Coverage sampling stays scalar, so Cycles counts replayed
-	// (coverage-collecting) cycles only. Lanes bounds the per-round
-	// candidate count (default and cap 64); designs outside the
-	// bit-parallel subset fall back to the sim.Batch scorer.
-	BitLanes bool
 }
 
 func (c StimConfig) cover() sim.CoverOptions {
@@ -139,9 +130,6 @@ func CoverageRandom(p *sim.Program, cfg StimConfig) (*cover.Map, error) {
 // fresh snippet drawn from the boundary/constant-biased value
 // distribution, and any snippet that hits new points joins the corpus.
 func CoverageDirected(p *sim.Program, cfg StimConfig) (*cover.Map, *Corpus, error) {
-	if cfg.BitLanes {
-		return CoverageDirectedBitLanes(p, cfg)
-	}
 	if cfg.Lanes > 1 {
 		return CoverageDirectedBatch(p, cfg)
 	}
